@@ -1,5 +1,6 @@
 //! WAL microbenchmarks: record append throughput, the group-commit sync
-//! amortization, checkpointing, and recovery replay speed.
+//! amortization, checkpointing, recovery replay speed, and CRC-32
+//! throughput.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -8,7 +9,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use croesus_store::{Key, TxnId, Value};
-use croesus_wal::{recover, scratch_dir, StageFlags, StageRecord, Wal, WalConfig, WriteImage};
+use croesus_wal::{
+    crc32, recover, scratch_dir, StageFlags, StageRecord, Wal, WalConfig, WriteImage,
+};
 
 fn stage_record(txn: u64, final_stage: bool) -> StageRecord {
     let flags = if final_stage {
@@ -140,5 +143,18 @@ fn recovery_replay(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, append_ops, file_commit, recovery_replay);
+fn crc(c: &mut Criterion) {
+    let mut g = c.benchmark_group("wal_crc");
+    g.measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(200));
+    // Every appended frame and every checkpoint image is checksummed;
+    // 64 KiB sits between a group-commit batch and a small image.
+    let buf: Vec<u8> = (0..64 * 1024u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    g.bench_function("crc32_64k", |b| b.iter(|| crc32(black_box(&buf))));
+    g.finish();
+}
+
+criterion_group!(benches, append_ops, file_commit, recovery_replay, crc);
 criterion_main!(benches);

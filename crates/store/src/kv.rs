@@ -150,7 +150,7 @@ impl KvStore {
             let shard = s.read();
             all.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
         all
     }
 }

@@ -21,9 +21,12 @@ pub const MAX_FRAME_LEN: u32 = 1 << 28;
 /// Byte overhead of one frame header.
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) lookup table.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE, reflected, polynomial `0xEDB88320`) slicing-by-8
+/// tables. `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k]`
+/// advances a byte's contribution through `k` further zero bytes, so eight
+/// lookups fold eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -36,18 +39,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) over `bytes`.
+/// CRC-32 (IEEE) over `bytes`, eight bytes per step (slicing-by-8) with a
+/// bytewise tail. Every appended frame and every checkpoint image goes
+/// through here.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -138,11 +166,53 @@ impl<'a> Iterator for FrameReader<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise reference the sliced loop must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// SplitMix64 bytes — a deterministic buffer with no extra crate.
+    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // The standard check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_at_every_length_and_offset() {
+        let buf = noise(64 + 8, 1);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_on_large_random_buffers() {
+        for (seed, len) in [(2, 1 << 20), (3, (1 << 20) - 3), (4, 65_537), (5, 4_099)] {
+            let buf = noise(len, seed);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "len {len}");
+        }
     }
 
     #[test]

@@ -319,7 +319,9 @@ impl RecoveryState {
     /// writes still pending (logged without a commit point — MS-SR
     /// transactions caught mid-flight) are overlaid back to their
     /// pre-images so the checkpointed store contains only committed state,
-    /// exactly like a from-genesis replay would produce.
+    /// exactly like a from-genesis replay would produce. The image's
+    /// pairs are sorted by key, reusing the order of
+    /// [`KvStore::snapshot`] rather than sorting a second time.
     #[must_use]
     pub fn to_checkpoint(&self, store: &KvStore) -> CheckpointRecord {
         // First pre-image per key wins, per transaction; concurrent
@@ -333,6 +335,8 @@ impl RecoveryState {
                     .or_insert_with(|| w.pre.clone());
             }
         }
+        // The snapshot arrives sorted by key; overlaying in place and
+        // dropping keys keep that order.
         let mut pairs: Vec<(Key, Arc<Value>)> = Vec::new();
         for (key, versioned) in store.snapshot() {
             match overlay.remove(&key) {
@@ -342,13 +346,17 @@ impl RecoveryState {
             }
         }
         // Keys the pending writes deleted from the store but that existed
-        // before them.
+        // before them. Only these break the order, so only they re-sort
+        // (keys are unique, so an unstable sort is deterministic).
+        let sorted = pairs.len();
         for (key, pre) in overlay {
             if let Some(pre) = pre {
                 pairs.push((key, pre));
             }
         }
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        if pairs.len() > sorted {
+            pairs.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+        }
 
         CheckpointRecord {
             store: pairs,

@@ -24,9 +24,20 @@
 //! ([`Storage::reset`]) — truncation and checkpoint are the same atomic
 //! step, and it is consistent even while other threads are mid-stage on
 //! the live store (their uncommitted writes exist only there, never in
-//! the shadow). [`Wal::maybe_checkpoint`] runs one every
-//! [`WalConfig::checkpoint_every`] commit points; the executors call it
-//! from the commit path.
+//! the shadow).
+//!
+//! [`Wal::maybe_checkpoint`] (called by the executors on the commit
+//! path) takes one when two conditions hold: at least
+//! [`WalConfig::checkpoint_every`] commit points have passed (a floor),
+//! *and* the bytes appended since the last checkpoint are at least
+//! [`CHECKPOINT_GROWTH`] × that checkpoint's framed image — the
+//! growth rule of Redis's AOF rewrite, at 100%. The image serializes
+//! the whole committed store, so with a fixed interval a growing store
+//! made checkpoint cost quadratic in run length. Under the growth rule
+//! every image byte written is paid for by a log byte appended since
+//! the previous image: total image bytes ≤ bytes appended + the last
+//! image, i.e. amortized O(1) per appended byte, and a store that grows
+//! with the run is checkpointed a logarithmic number of times.
 
 use std::collections::VecDeque;
 use std::io;
@@ -50,13 +61,24 @@ use crate::storage::{FileStorage, MemStorage, Storage};
 /// panicking flusher could poison them, and that already aborts the run.
 const PIPE_LOCK: &str = "wal pipeline lock";
 
+/// Growth factor of the automatic checkpoint trigger: the bytes appended
+/// since the last checkpoint must reach this multiple of its framed image
+/// (1 = the log doubles past its post-checkpoint size, Redis's
+/// `auto-aof-rewrite-percentage 100`). A constant rather than a
+/// [`WalConfig`] knob: any factor above zero gives the linear bound, and
+/// the floor already tunes short runs.
+pub const CHECKPOINT_GROWTH: u64 = 1;
+
 /// Writer tuning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalConfig {
     /// Commit points per durable sync (1 = strict, `usize::MAX` = only
     /// explicit flushes and checkpoints).
     pub group_commit: usize,
-    /// Commit points between automatic checkpoints (0 = never).
+    /// Minimum commit points between automatic checkpoints (0 = never).
+    /// A floor, not a period: a checkpoint also waits until the log has
+    /// grown by [`CHECKPOINT_GROWTH`] × the previous image's size, which
+    /// keeps total checkpoint work linear in the bytes appended.
     pub checkpoint_every: u64,
 }
 
@@ -419,6 +441,11 @@ struct WalInner {
     shadow_store: KvStore,
     unsynced_commits: usize,
     commits_since_checkpoint: u64,
+    /// `stats.bytes_appended` when the last checkpoint image was taken —
+    /// the base of the growth trigger.
+    appended_at_checkpoint: u64,
+    /// Framed size of the last checkpoint image (0 before the first).
+    last_checkpoint_len: u64,
     /// Bytes of the current epoch's log known durable (legacy modes
     /// only; the pipelined boundary lives in `PipeState`). Lets
     /// `flush_lsn` answer at-or-below-the-boundary requests without I/O.
@@ -441,6 +468,33 @@ struct WalInner {
 }
 
 impl WalInner {
+    /// The automatic checkpoint policy: the commit-point floor, then the
+    /// growth rule (see the module docs).
+    fn wants_checkpoint(&self) -> bool {
+        let every = self.config.checkpoint_every;
+        let grown = self.stats.bytes_appended - self.appended_at_checkpoint;
+        every > 0
+            && self.commits_since_checkpoint >= every
+            && grown >= CHECKPOINT_GROWTH * self.last_checkpoint_len
+    }
+
+    /// Serialize the shadow into one framed checkpoint image and make it
+    /// the new base of the checkpoint schedule. The one image writer:
+    /// both checkpoint paths, and through them both resumes, call it
+    /// right before the image replaces the log. A failed replacement is
+    /// fatal to the writer (the executors abort on it), so the base is
+    /// not rolled back.
+    fn checkpoint_image(&mut self) -> Vec<u8> {
+        let cp = self.shadow.to_checkpoint(&self.shadow_store);
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
+        self.stats.checkpoints += 1;
+        self.commits_since_checkpoint = 0;
+        self.appended_at_checkpoint = self.stats.bytes_appended;
+        self.last_checkpoint_len = framed.len() as u64;
+        framed
+    }
+
     /// Make everything appended durable and publish it to the shipper.
     /// The single exit through which bytes become both synced and shipped.
     fn sync_and_publish(&mut self) -> io::Result<()> {
@@ -495,6 +549,8 @@ impl Wal {
                 shadow_store: KvStore::new(),
                 unsynced_commits: 0,
                 commits_since_checkpoint: 0,
+                appended_at_checkpoint: 0,
+                last_checkpoint_len: 0,
                 flushed_len: 0,
                 stats: WalStats::default(),
                 shipper: None,
@@ -625,76 +681,50 @@ impl Wal {
     pub fn resume(
         storage: Box<dyn Storage>,
         config: WalConfig,
-        mut state: RecoveryState,
+        state: RecoveryState,
         store: &KvStore,
         shipper: Option<Arc<LogShipper>>,
     ) -> io::Result<Self> {
-        state.abandon_pending();
-        let shadow_store = KvStore::new();
-        for (key, versioned) in store.snapshot() {
-            shadow_store.put(key, versioned.value);
-        }
-        let cp = state.to_checkpoint(&shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
-        let wal = Wal::with_storage(storage, config);
-        {
-            let mut inner = wal.inner.lock();
-            inner.storage.reset(&framed)?;
-            inner.shadow = state;
-            inner.shadow_store = shadow_store;
-            inner.stats.checkpoints += 1;
-            inner.stats.syncs += 1;
-            inner.flushed_len = framed.len() as u64;
-            inner.epoch = 1;
-            if let Some(shipper) = &shipper {
-                shipper.restart_epoch(&framed);
-            }
-            inner.shipper = shipper;
-        }
-        Ok(wal)
+        Wal::with_storage(storage, config).restart(state, store, shipper)
     }
 
     /// [`resume`](Wal::resume), pipelined: the recovered log restarts as
     /// a single durable checkpoint frame at epoch 1, and new appends go
     /// through the buffer/flusher pipeline.
     pub fn resume_pipelined(
-        mut storage: Box<dyn Storage>,
+        storage: Box<dyn Storage>,
         config: WalConfig,
         pipe: PipelineConfig,
+        state: RecoveryState,
+        store: &KvStore,
+        shipper: Option<Arc<LogShipper>>,
+    ) -> io::Result<Self> {
+        Wal::with_storage_pipelined(storage, config, pipe).restart(state, store, shipper)
+    }
+
+    /// Load recovered state into this fresh writer's shadow and take its
+    /// first checkpoint: the log becomes the single image frame of epoch
+    /// 1, and the replica (if any) re-tails from it.
+    fn restart(
+        self,
         mut state: RecoveryState,
         store: &KvStore,
         shipper: Option<Arc<LogShipper>>,
     ) -> io::Result<Self> {
         state.abandon_pending();
-        let shadow_store = KvStore::new();
-        for (key, versioned) in store.snapshot() {
-            shadow_store.put(key, versioned.value);
-        }
-        let cp = state.to_checkpoint(&shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
-        storage.reset(&framed)?;
-        if let Some(shipper) = &shipper {
-            shipper.restart_epoch(&framed);
-        }
-        let wal = Wal::with_storage_pipelined(storage, config, pipe);
         {
-            let mut inner = wal.inner.lock();
+            let mut inner = self.inner.lock();
+            for (key, versioned) in store.snapshot() {
+                inner.shadow_store.put(key, versioned.value);
+            }
             inner.shadow = state;
-            inner.shadow_store = shadow_store;
-            inner.stats.checkpoints += 1;
-            inner.shipper = shipper.clone();
+            if let Some(shared) = &self.pipeline {
+                shared.state.lock().expect(PIPE_LOCK).shipper = shipper.clone();
+            }
+            inner.shipper = shipper;
+            self.checkpoint_locked(&mut inner)?;
         }
-        {
-            let shared = wal.pipeline.as_ref().expect("pipelined constructor");
-            let mut pstate = shared.state.lock().expect(PIPE_LOCK);
-            pstate.epoch = 1;
-            pstate.epoch_len = framed.len() as u64;
-            pstate.syncs = 1;
-            pstate.shipper = shipper;
-        }
-        Ok(wal)
+        Ok(self)
     }
 
     /// [`resume`](Wal::resume) over a file (truncating whatever is there —
@@ -1023,13 +1053,12 @@ impl Wal {
             .publish_before_sync = true;
     }
 
-    /// Whether enough commit points accumulated for an automatic
-    /// checkpoint.
+    /// Whether the automatic checkpoint policy fires now: the
+    /// [`WalConfig::checkpoint_every`] floor is reached and the log has
+    /// grown by [`CHECKPOINT_GROWTH`] × the last image.
     #[must_use]
     pub fn wants_checkpoint(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.config.checkpoint_every > 0
-            && inner.commits_since_checkpoint >= inner.config.checkpoint_every
+        self.inner.lock().wants_checkpoint()
     }
 
     /// Take a checkpoint now: serialize the shadow store + replay state
@@ -1037,17 +1066,17 @@ impl Wal {
     /// Consistent under concurrency — the snapshot comes from the
     /// writer's own shadow of the log, never from the live store.
     pub fn checkpoint(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
+        self.checkpoint_locked(&mut self.inner.lock())
+    }
+
+    /// [`checkpoint`](Wal::checkpoint) with the writer mutex already held.
+    fn checkpoint_locked(&self, inner: &mut WalInner) -> io::Result<()> {
         if let Some(shared) = &self.pipeline {
-            return Self::checkpoint_pipelined(shared, &mut inner);
+            return Self::checkpoint_pipelined(shared, inner);
         }
-        let cp = inner.shadow.to_checkpoint(&inner.shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
+        let framed = inner.checkpoint_image();
         inner.storage.reset(&framed)?;
-        inner.stats.checkpoints += 1;
         inner.stats.syncs += 1;
-        inner.commits_since_checkpoint = 0;
         inner.unsynced_commits = 0;
         // The truncation rewrote history: unsynced bytes are gone (their
         // effects live inside the checkpoint), and the replica must
@@ -1074,9 +1103,6 @@ impl Wal {
     /// their effects live inside the checkpoint, so the boundary jumps
     /// *forward* to `latest_lsn` and every waiter wakes durable.
     fn checkpoint_pipelined(shared: &PipelineShared, inner: &mut WalInner) -> io::Result<()> {
-        let cp = inner.shadow.to_checkpoint(&inner.shadow_store);
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &WalRecord::Checkpoint(Box::new(cp)).encode());
         let mut state = shared.state.lock().expect(PIPE_LOCK);
         while state.flushing {
             if crate::sched::active() {
@@ -1088,6 +1114,7 @@ impl Wal {
             }
         }
         PipelineShared::io_error_locked(&state)?;
+        let framed = inner.checkpoint_image();
         let mut storage = state.storage.take().expect("not flushing");
         let reset = storage.reset(&framed);
         state.storage = Some(storage);
@@ -1100,8 +1127,6 @@ impl Wal {
         state.syncs += 1;
         state.epoch += 1;
         state.epoch_len = framed.len() as u64;
-        inner.stats.checkpoints += 1;
-        inner.commits_since_checkpoint = 0;
         let lsn = state.latest_lsn;
         let epoch = state.epoch;
         state.obs.emit(EventKind::WalSync { lsn, epoch });
@@ -1115,14 +1140,17 @@ impl Wal {
         Ok(())
     }
 
-    /// Checkpoint if the schedule says so (call from the commit path).
+    /// Checkpoint if the policy says so (call from the commit path). The
+    /// decision and the checkpoint share one hold of the writer mutex, so
+    /// concurrent committers cannot both pass the check and checkpoint
+    /// back to back.
     pub fn maybe_checkpoint(&self) -> io::Result<bool> {
-        if self.wants_checkpoint() {
-            self.checkpoint()?;
-            Ok(true)
-        } else {
-            Ok(false)
+        let mut inner = self.inner.lock();
+        if !inner.wants_checkpoint() {
+            return Ok(false);
         }
+        self.checkpoint_locked(&mut inner)?;
+        Ok(true)
     }
 
     /// Counters so far.
@@ -1393,6 +1421,173 @@ mod tests {
             "the dead mid-flight write never reappears"
         );
         assert_eq!(r2.next_txn, 10, "the id high-water mark survived resume");
+    }
+
+    /// Storage that counts the checkpoint image bytes written through
+    /// [`Storage::reset`] (shared across clones).
+    #[derive(Clone, Default)]
+    struct ResetTap {
+        mem: MemStorage,
+        image_bytes: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl ResetTap {
+        fn image_bytes(&self) -> u64 {
+            self.image_bytes.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Storage for ResetTap {
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.mem.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.mem.sync()
+        }
+        fn reset(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.image_bytes
+                .fetch_add(bytes.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            self.mem.reset(bytes)
+        }
+        fn len(&self) -> u64 {
+            self.mem.len()
+        }
+    }
+
+    #[test]
+    fn checkpoint_growth_rule_is_logarithmic_and_paid_for_by_appends() {
+        // Every transaction inserts a fresh key, so the store — and with
+        // it every image — grows with the run. A fixed interval would
+        // checkpoint 8192 / 8 = 1024 times, rewriting a quadratic total.
+        let tap = ResetTap::default();
+        let config = WalConfig {
+            group_commit: 64,
+            checkpoint_every: 8,
+        };
+        let wal = Wal::with_storage(Box::new(tap.clone()), config);
+        let mut per_doubling = Vec::new();
+        let mut at_last_doubling = 0;
+        for i in 1..=8192u64 {
+            let key = format!("fresh/{i}");
+            wal.append_stage(stage_record(i, 0, CP | FIN, &key, i as i64))
+                .unwrap();
+            wal.maybe_checkpoint().unwrap();
+            if i >= 256 && i.is_power_of_two() {
+                let checkpoints = wal.stats().checkpoints;
+                per_doubling.push(checkpoints - at_last_doubling);
+                at_last_doubling = checkpoints;
+            }
+        }
+        let stats = wal.stats();
+        // Each doubling of the run adds about the same number of
+        // checkpoints (the image grows by a constant factor per
+        // checkpoint), instead of doubling them.
+        let first = per_doubling[1];
+        assert!(
+            per_doubling[1..].iter().all(|&n| n <= first + 1),
+            "checkpoints per doubling must stay flat: {per_doubling:?}"
+        );
+        assert!(
+            stats.checkpoints <= 64,
+            "{} checkpoints for 8192 commit points",
+            stats.checkpoints
+        );
+        // The amortization bound: every image byte but the last image's
+        // was paid for by a log byte appended since the previous image.
+        let last_image = wal.inner.lock().last_checkpoint_len;
+        assert!(
+            tap.image_bytes() <= stats.bytes_appended + last_image,
+            "images {} > appended {} + last image {last_image}",
+            tap.image_bytes(),
+            stats.bytes_appended
+        );
+        let r = recover(&tap.mem.all_bytes());
+        assert_eq!(r.store.len(), 8192, "every fresh key survives");
+    }
+
+    #[test]
+    fn checkpoint_after_resume_waits_for_an_image_sized_append() {
+        // A recovered store of 256 keys makes the resumed image large.
+        let (wal, probe) = Wal::in_memory(WalConfig::group(64));
+        for i in 0..256u64 {
+            let key = format!("k/{i}");
+            wal.append_stage(stage_record(i, 0, CP | FIN, &key, i as i64))
+                .unwrap();
+        }
+        wal.flush().unwrap();
+        let config = WalConfig {
+            group_commit: 1,
+            checkpoint_every: 1,
+        };
+        for pipelined in [false, true] {
+            let r = recover(&probe.durable());
+            let resumed_probe = MemStorage::new();
+            let storage = Box::new(resumed_probe.clone());
+            let resumed = if pipelined {
+                Wal::resume_pipelined(storage, config, manual(), r.state, &r.store, None)
+            } else {
+                Wal::resume(storage, config, r.state, &r.store, None)
+            }
+            .unwrap();
+            let image = resumed_probe.durable().len() as u64;
+            assert_eq!(resumed.stats().checkpoints, 1, "the resume image");
+            let mut txn = 1000;
+            while resumed.stats().bytes_appended < image {
+                assert!(
+                    !resumed.wants_checkpoint(),
+                    "pipelined={pipelined}: fired after {} of {image} bytes",
+                    resumed.stats().bytes_appended
+                );
+                txn += 1;
+                resumed
+                    .append_stage(stage_record(txn, 0, CP | FIN, "hot", 0))
+                    .unwrap();
+            }
+            assert!(resumed.maybe_checkpoint().unwrap(), "pipelined={pipelined}");
+            assert_eq!(resumed.stats().checkpoints, 2);
+        }
+    }
+
+    #[test]
+    fn concurrent_maybe_checkpoint_decides_and_checkpoints_atomically() {
+        // One hot key keeps the image tiny, so the floor alone governs:
+        // checkpoints can never outnumber commit_points / checkpoint_every.
+        let config = WalConfig {
+            group_commit: 4,
+            checkpoint_every: 3,
+        };
+        for pipelined in [false, true] {
+            let wal = Arc::new(if pipelined {
+                Wal::pipelined_in_memory(config, PipelineConfig::default()).0
+            } else {
+                Wal::in_memory(config).0
+            });
+            let handles: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let wal = Arc::clone(&wal);
+                    std::thread::spawn(move || {
+                        for i in 0..300u64 {
+                            let txn = t * 1000 + i;
+                            wal.append_stage(stage_record(txn, 0, CP | FIN, "hot", 0))
+                                .unwrap();
+                            wal.maybe_checkpoint().unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            let stats = wal.stats();
+            assert_eq!(stats.commit_points, 1200);
+            assert!(stats.checkpoints > 0, "pipelined={pipelined}");
+            assert!(
+                stats.checkpoints <= stats.commit_points / config.checkpoint_every,
+                "pipelined={pipelined}: {} checkpoints for {} commit points",
+                stats.checkpoints,
+                stats.commit_points
+            );
+        }
     }
 
     fn manual() -> PipelineConfig {

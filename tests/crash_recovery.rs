@@ -12,15 +12,19 @@
 //! sharing no code with `croesus_wal::recover`'s state machine.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use croesus::obs::{EdgeObs, EventKind};
 use croesus::store::{KvStore, LockManager, TxnId, Value};
 use croesus::txn::{
-    recovery::recover_edge, ExecutorCore, MultiStageProtocolExt, ProtocolKind, RwSet,
+    recovery::recover_edge, ExecutorCore, MultiStageProtocol, MultiStageProtocolExt, ProtocolKind,
+    RwSet,
 };
-use croesus::wal::{recover, FrameReader, MemStorage, PipelineConfig, Wal, WalConfig, WalRecord};
+use croesus::wal::{
+    recover, FrameReader, MemStorage, PipelineConfig, Storage, Wal, WalConfig, WalRecord,
+};
 
 /// SplitMix64 — the test's own deterministic stream.
 struct Rng(u64);
@@ -137,8 +141,24 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
     )
     .with_wal(Arc::new(wal));
     let protocol = kind.build(core);
+    drive_workload(&mut rng, kind, protocol.as_ref(), 6, |_| {});
+    // No flush: `all_bytes` is the every-byte-made-it view; the boundary
+    // sweep below is the crash simulation.
+    probe.all_bytes()
+}
 
-    let n_txns = 6 + rng.below(6);
+/// Run `min_txns + 0..6` seeded two-stage transactions through
+/// `protocol`, interleaving initial and final stages, and call `after_op`
+/// after every stage. The record stream depends only on the seed state,
+/// `kind` and `min_txns` — never on the writer configuration.
+fn drive_workload(
+    rng: &mut Rng,
+    kind: ProtocolKind,
+    protocol: &dyn MultiStageProtocol,
+    min_txns: u64,
+    mut after_op: impl FnMut(&mut Rng),
+) {
+    let n_txns = min_txns + rng.below(6);
     // MS-SR holds every declared lock across its pending window, so give
     // it disjoint per-txn keys (the paper's hot-spot aborts are measured
     // elsewhere); the releasing protocols share a small pool → cascades.
@@ -161,10 +181,10 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
         let start_new = started < n_txns && (active.is_empty() || rng.chance(55));
         if start_new {
             let txn = TxnId(started);
-            let k0 = key_for(&mut rng, started);
-            let k1 = key_for(&mut rng, started);
+            let k0 = key_for(rng, started);
+            let k1 = key_for(rng, started);
             let initial_rw = RwSet::new().write(k0.as_str()).write(k1.as_str());
-            let kf = key_for(&mut rng, started);
+            let kf = key_for(rng, started);
             let final_rw = if rng.chance(70) {
                 RwSet::new().write(kf.as_str())
             } else {
@@ -202,68 +222,198 @@ fn run_workload(seed: u64, kind: ProtocolKind) -> Vec<u8> {
                 })
                 .expect("final stages cannot abort");
         }
+        after_op(rng);
     }
-    // No flush: `all_bytes` is the every-byte-made-it view; the boundary
-    // sweep below is the crash simulation.
-    probe.all_bytes()
+}
+
+/// Every frame boundary of `log`, starting with 0.
+fn frame_boundaries(log: &[u8]) -> Vec<usize> {
+    let mut boundaries = vec![0usize];
+    let mut reader = FrameReader::new(log);
+    while reader.next().is_some() {
+        boundaries.push(reader.offset());
+    }
+    boundaries
+}
+
+/// The oracle after each frame of a checkpoint-free record stream.
+fn oracle_per_frame(log: &[u8]) -> Vec<Oracle> {
+    let mut oracle = Oracle::default();
+    let mut oracle_at: Vec<Oracle> = vec![oracle.clone()];
+    for payload in FrameReader::new(log) {
+        oracle.apply(&WalRecord::decode(payload).expect("valid payload"));
+        oracle_at.push(oracle.clone());
+    }
+    oracle_at
 }
 
 fn check_every_boundary(log: &[u8]) {
-    // Frame boundaries + per-frame oracle snapshots.
-    let mut boundaries = vec![0usize];
-    {
-        let mut reader = FrameReader::new(log);
-        while reader.next().is_some() {
-            boundaries.push(reader.offset());
-        }
-        assert_eq!(
-            *boundaries.last().unwrap(),
-            log.len(),
-            "the workload's own log must parse completely"
-        );
-    }
-    let mut oracle = Oracle::default();
-    let mut oracle_at: Vec<Oracle> = vec![oracle.clone()];
-    {
-        let reader = FrameReader::new(log);
-        for payload in reader {
-            oracle.apply(&WalRecord::decode(payload).expect("valid payload"));
-            oracle_at.push(oracle.clone());
-        }
-    }
-
+    let boundaries = frame_boundaries(log);
+    assert_eq!(
+        *boundaries.last().unwrap(),
+        log.len(),
+        "the workload's own log must parse completely"
+    );
+    let oracle_at = oracle_per_frame(log);
     for (frames, &cut) in boundaries.iter().enumerate() {
-        let report = recover(&log[..cut]);
-        assert_eq!(report.frames, frames, "cut at byte {cut}");
-        assert!(!report.torn_tail, "boundary cuts are clean");
-        let expected = &oracle_at[frames];
-        assert_eq!(
-            snapshot_of(&report.store),
-            expected.store,
-            "store mismatch after {frames} frames (cut at byte {cut})"
-        );
-        let unfinalized: BTreeSet<u64> = report.unfinalized.iter().map(|t| t.0).collect();
-        assert_eq!(
-            unfinalized,
-            expected.expected_unfinalized(),
-            "unfinalized mismatch after {frames} frames"
-        );
+        check_crash_at(&log[..cut], frames, &oracle_at[frames]);
+    }
+}
 
-        // Apology-aware recovery on the same prefix: every unfinalized
-        // transaction ends up retracted (not live) and apologized for.
-        let rec = recover_edge(&log[..cut]);
-        for txn in &report.unfinalized {
-            assert!(
-                !rec.apologies.is_live(*txn),
-                "unfinalized {txn} must be retracted during recovery"
-            );
+/// Crash with exactly `prefix` on the device (`frames` whole frames):
+/// recovery must rebuild the oracle's store and unfinalized set, and
+/// apology-aware recovery must retract and apologize for every
+/// unfinalized transaction.
+fn check_crash_at(prefix: &[u8], frames: usize, expected: &Oracle) {
+    let cut = prefix.len();
+    let report = recover(prefix);
+    assert_eq!(report.frames, frames, "cut at byte {cut}");
+    assert!(!report.torn_tail, "boundary cuts are clean");
+    assert_eq!(
+        snapshot_of(&report.store),
+        expected.store,
+        "store mismatch after {frames} frames (cut at byte {cut})"
+    );
+    let unfinalized: BTreeSet<u64> = report.unfinalized.iter().map(|t| t.0).collect();
+    assert_eq!(
+        unfinalized,
+        expected.expected_unfinalized(),
+        "unfinalized mismatch after {frames} frames"
+    );
+
+    // Apology-aware recovery on the same prefix: every unfinalized
+    // transaction ends up retracted (not live) and apologized for.
+    let rec = recover_edge(prefix);
+    for txn in &report.unfinalized {
+        assert!(
+            !rec.apologies.is_live(*txn),
+            "unfinalized {txn} must be retracted during recovery"
+        );
+    }
+    let apologized: BTreeSet<u64> = rec.apologies_owed().iter().map(|a| a.txn.0).collect();
+    for txn in &unfinalized {
+        assert!(
+            apologized.contains(txn),
+            "txn {txn} owes its users an apology"
+        );
+    }
+}
+
+/// A device that keeps every checkpoint epoch's byte stream on top of a
+/// [`MemStorage`]: `reset` opens a new epoch holding the image, and
+/// appends extend the current one, synced or not — every frame prefix
+/// of an epoch is a state a crash could leave behind.
+#[derive(Clone)]
+struct EpochTap {
+    mem: MemStorage,
+    epochs: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl EpochTap {
+    fn new() -> Self {
+        EpochTap {
+            mem: MemStorage::new(),
+            epochs: Arc::new(Mutex::new(vec![Vec::new()])),
         }
-        let apologized: BTreeSet<u64> = rec.apologies_owed().iter().map(|a| a.txn.0).collect();
-        for txn in &unfinalized {
-            assert!(
-                apologized.contains(txn),
-                "txn {txn} owes its users an apology"
-            );
+    }
+
+    fn epochs(&self) -> Vec<Vec<u8>> {
+        self.epochs.lock().unwrap().clone()
+    }
+}
+
+impl Storage for EpochTap {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut epochs = self.epochs.lock().unwrap();
+        epochs.last_mut().unwrap().extend_from_slice(bytes);
+        self.mem.append(bytes)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.mem.sync()
+    }
+
+    fn reset(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.epochs.lock().unwrap().push(bytes.to_vec());
+        self.mem.reset(bytes)
+    }
+
+    fn len(&self) -> u64 {
+        self.mem.len()
+    }
+}
+
+/// Transactions per run in the checkpoint sweeps (plus up to 5 seeded):
+/// with a floor of [`CHECKPOINT_FLOOR`] commit points, enough log growth
+/// for at least two automatic checkpoints on every protocol.
+const CHECKPOINTED_TXNS: u64 = 24;
+const CHECKPOINT_FLOOR: u64 = 2;
+
+/// The synchronous writer under automatic checkpoints (`checkpoint_every`
+/// 0 = none): every epoch the device went through, in order.
+fn run_workload_epochs(seed: u64, kind: ProtocolKind, checkpoint_every: u64) -> Vec<Vec<u8>> {
+    let mut rng = Rng(seed);
+    let config = WalConfig {
+        group_commit: [1, 3, 64][rng.below(3) as usize],
+        checkpoint_every,
+    };
+    let tap = EpochTap::new();
+    let core = ExecutorCore::new(
+        Arc::new(KvStore::new()),
+        Arc::new(LockManager::new(kind.default_lock_policy())),
+    )
+    .with_wal(Arc::new(Wal::with_storage(Box::new(tap.clone()), config)));
+    let protocol = kind.build(core);
+    drive_workload(&mut rng, kind, protocol.as_ref(), CHECKPOINTED_TXNS, |_| {});
+    tap.epochs()
+}
+
+/// The synchronous checkpoint sweep: the epochs' record bodies line up
+/// back to back in the checkpoint-free stream, so each image stands at
+/// the end of everything the epochs before it logged.
+fn check_sync_checkpoint_sweep(seed: u64, kind: ProtocolKind) {
+    let epochs = run_workload_epochs(seed, kind, CHECKPOINT_FLOOR);
+    let reference = run_workload_epochs(seed, kind, 0).remove(0);
+    let mut starts = vec![0u64];
+    for (e, log) in epochs.iter().enumerate().take(epochs.len() - 1) {
+        let image = if e == 0 { 0 } else { frame_boundaries(log)[1] };
+        starts.push(starts[e] + (log.len() - image) as u64);
+    }
+    check_checkpointed_epochs(&epochs, &starts, &reference);
+}
+
+/// Crash sweep over a checkpointed run. `epochs[e]` is everything the
+/// device held in checkpoint epoch `e` (epoch `e > 0` opens with the
+/// image); `starts[e]` is the offset in `reference` — the same
+/// workload's checkpoint-free record stream — at which that image was
+/// taken. Every frame boundary of every epoch, including the cut just
+/// after each image, must recover to the oracle at the matching
+/// reference boundary. (`reset` is atomic, so an empty device is not a
+/// crash state of epochs past the first.)
+fn check_checkpointed_epochs(epochs: &[Vec<u8>], starts: &[u64], reference: &[u8]) {
+    assert!(
+        epochs.len() >= 3,
+        "the run must cross at least two automatic checkpoints, crossed {}",
+        epochs.len() - 1
+    );
+    assert_eq!(epochs.len(), starts.len());
+    let ref_bounds = frame_boundaries(reference);
+    let oracle_at = oracle_per_frame(reference);
+    for (e, (log, &start)) in epochs.iter().zip(starts).enumerate() {
+        let bounds = frame_boundaries(log);
+        assert_eq!(*bounds.last().unwrap(), log.len(), "epoch {e} parses");
+        let image = if e == 0 { 0 } else { bounds[1] };
+        let start = start as usize;
+        assert_eq!(
+            &log[image..],
+            &reference[start..start + log.len() - image],
+            "epoch {e} logs the reference records"
+        );
+        for (frames, &cut) in bounds.iter().enumerate().skip(usize::from(e > 0)) {
+            let at = ref_bounds
+                .binary_search(&(start + cut - image))
+                .expect("epoch cuts map to reference frame boundaries");
+            check_crash_at(&log[..cut], frames, &oracle_at[at]);
         }
     }
 }
@@ -272,6 +422,11 @@ fn check_every_boundary(log: &[u8]) {
 struct PipelinedRun {
     /// The fully drained log (every appended byte landed durably).
     log: Vec<u8>,
+    /// Every checkpoint epoch the device went through (the last one is
+    /// `log`).
+    epochs: Vec<Vec<u8>>,
+    /// The global LSN at which each epoch's image was taken (0 first).
+    epoch_starts: Vec<u64>,
     /// `(durable image, last_flushed_lsn)` at every post-sync boundary
     /// the interleaved flusher reached mid-run.
     flush_points: Vec<(Vec<u8>, u64)>,
@@ -289,16 +444,35 @@ struct PipelinedRun {
 /// scenario; this sweep trades exhaustiveness for real executor
 /// workloads and per-byte crash cuts).
 fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
+    run_pipelined(seed, kind, 6, 0)
+}
+
+/// [`run_workload_pipelined`] with `min_txns` transactions and automatic
+/// checkpoints every `checkpoint_every` commit points (0 = none).
+fn run_pipelined(
+    seed: u64,
+    kind: ProtocolKind,
+    min_txns: u64,
+    checkpoint_every: u64,
+) -> PipelinedRun {
     let mut rng = Rng(seed ^ 0xD1CE);
-    let group = WalConfig::group([1, 2, 3][rng.below(3) as usize]);
-    let (wal, probe) = Wal::pipelined_in_memory(
-        group,
+    let config = WalConfig {
+        group_commit: [1, 2, 3][rng.below(3) as usize],
+        checkpoint_every,
+    };
+    let tap = EpochTap::new();
+    let probe = tap.mem.clone();
+    let wal = Arc::new(Wal::with_storage_pipelined(
+        Box::new(tap.clone()),
+        config,
         PipelineConfig {
             coalescer: None,
             manual_flusher: true,
         },
-    );
-    let wal = Arc::new(wal);
+    ));
+    // The checkpoint's sync event carries the global LSN it was taken at.
+    let obs = EdgeObs::standalone(0);
+    wal.set_obs(obs.clone());
     let core = ExecutorCore::new(
         Arc::new(KvStore::new()),
         Arc::new(LockManager::new(kind.default_lock_policy())),
@@ -308,13 +482,15 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
 
     let mut run = PipelinedRun {
         log: Vec::new(),
+        epochs: Vec::new(),
+        epoch_starts: vec![0],
         flush_points: Vec::new(),
         seal_points: Vec::new(),
         acks: Vec::new(),
     };
     // The seeded appender/flusher interleaving: after every protocol op,
     // maybe seal the active buffer, pump the flusher, or wait on an ack.
-    let pump = |rng: &mut Rng, run: &mut PipelinedRun| {
+    drive_workload(&mut rng, kind, protocol.as_ref(), min_txns, |rng| {
         for _ in 0..rng.below(3) {
             match rng.below(4) {
                 0 => {
@@ -335,70 +511,7 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
                 }
             }
         }
-    };
-
-    let n_txns = 6 + rng.below(6);
-    let key_for = |rng: &mut Rng, txn: u64| -> String {
-        if kind == ProtocolKind::MsSr {
-            format!("t{txn}/{}", rng.below(2))
-        } else {
-            format!("k/{}", rng.below(5))
-        }
-    };
-    struct Active {
-        handle: croesus::txn::TxnHandle,
-        final_rw: RwSet,
-        retract: bool,
-    }
-    let mut active: Vec<Active> = Vec::new();
-    let mut started = 0u64;
-    while started < n_txns || !active.is_empty() {
-        let start_new = started < n_txns && (active.is_empty() || rng.chance(55));
-        if start_new {
-            let txn = TxnId(started);
-            let k0 = key_for(&mut rng, started);
-            let k1 = key_for(&mut rng, started);
-            let initial_rw = RwSet::new().write(k0.as_str()).write(k1.as_str());
-            let kf = key_for(&mut rng, started);
-            let final_rw = if rng.chance(70) {
-                RwSet::new().write(kf.as_str())
-            } else {
-                RwSet::new()
-            };
-            let v = rng.below(1000) as i64;
-            let handle = protocol.begin(txn, &[initial_rw.clone(), final_rw.clone()]);
-            let (_, next) = protocol
-                .stage(handle, &initial_rw, |ctx| {
-                    ctx.write(k0.as_str(), v)?;
-                    ctx.write(k1.as_str(), v + 1)?;
-                    Ok(())
-                })
-                .expect("sequential initial stages cannot conflict");
-            let retract = kind != ProtocolKind::MsSr && rng.chance(25);
-            active.push(Active {
-                handle: next.expect("two stages declared"),
-                final_rw,
-                retract,
-            });
-            started += 1;
-        } else {
-            let idx = rng.below(active.len() as u64) as usize;
-            let a = active.remove(idx);
-            let v = rng.below(1000) as i64;
-            protocol
-                .stage(a.handle, &a.final_rw, |ctx| {
-                    if a.retract {
-                        ctx.retract_self("guessed wrong");
-                    }
-                    if let Some(k) = a.final_rw.writes.first().cloned() {
-                        ctx.write(k, v)?;
-                    }
-                    Ok(())
-                })
-                .expect("final stages cannot abort");
-        }
-        pump(&mut rng, &mut run);
-    }
+    });
     // Drain the pipeline: the final log is every appended byte.
     wal.flush().expect("in-memory pipeline io");
     run.log = probe.all_bytes();
@@ -408,6 +521,15 @@ fn run_workload_pipelined(seed: u64, kind: ProtocolKind) -> PipelinedRun {
         "a drained pipeline leaves nothing unsynced"
     );
     assert_eq!(wal.last_flushed_lsn(), wal.latest_lsn());
+    run.epochs = tap.epochs();
+    assert_eq!(obs.dropped(), 0, "the event ring kept every sync");
+    for event in obs.events() {
+        if let EventKind::WalSync { lsn, epoch } = event.kind {
+            if epoch == run.epoch_starts.len() as u64 {
+                run.epoch_starts.push(lsn);
+            }
+        }
+    }
     run
 }
 
@@ -443,6 +565,22 @@ fn check_pipelined_run(run: &PipelinedRun) {
             "flush_lsn({}) returned at boundary {}",
             requested,
             at_ack
+        );
+    }
+}
+
+/// The pipelined checkpoint sweep. A checkpoint discards the sealed
+/// buffers the flusher has not landed, so the epochs do not tile the
+/// record stream; each image stands at the global LSN its sync event
+/// reported instead. Acks never return below their requested LSN.
+fn check_pipelined_checkpoint_sweep(seed: u64, kind: ProtocolKind) {
+    let run = run_pipelined(seed, kind, CHECKPOINTED_TXNS, CHECKPOINT_FLOOR);
+    let reference = run_pipelined(seed, kind, CHECKPOINTED_TXNS, 0).log;
+    check_checkpointed_epochs(&run.epochs, &run.epoch_starts, &reference);
+    for (requested, at_ack) in &run.acks {
+        assert!(
+            at_ack >= requested,
+            "flush_lsn({requested}) returned at boundary {at_ack}"
         );
     }
 }
@@ -533,6 +671,26 @@ proptest! {
             }
             cut += 11; // sample; exhaustive per-byte would be slow × 64 cases
         }
+    }
+
+    #[test]
+    fn checkpoint_crash_sweep_matches_oracle_ms_ia(seed in any::<u64>()) {
+        check_sync_checkpoint_sweep(seed, ProtocolKind::MsIa);
+    }
+
+    #[test]
+    fn checkpoint_crash_sweep_matches_oracle_ms_sr(seed in any::<u64>()) {
+        check_sync_checkpoint_sweep(seed, ProtocolKind::MsSr);
+    }
+
+    #[test]
+    fn pipelined_checkpoint_crash_sweep_matches_oracle_ms_ia(seed in any::<u64>()) {
+        check_pipelined_checkpoint_sweep(seed, ProtocolKind::MsIa);
+    }
+
+    #[test]
+    fn pipelined_checkpoint_crash_sweep_matches_oracle_staged(seed in any::<u64>()) {
+        check_pipelined_checkpoint_sweep(seed, ProtocolKind::Staged);
     }
 
     #[test]
