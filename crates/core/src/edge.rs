@@ -34,6 +34,19 @@ use crate::matching::{match_edge_to_cloud, FinalInput};
 
 type FinalBody = crate::bank::FinalSectionBody;
 
+/// Begin a two-stage transaction that declares `initial_rw` then `final_rw`,
+/// and hand both sets back for its stages. The sets move through the
+/// `[RwSet; 2]` that `begin` reads instead of being cloned per transaction.
+fn begin_two_stage(
+    protocol: &dyn MultiStageProtocol,
+    txn: TxnId,
+    initial_rw: RwSet,
+    final_rw: RwSet,
+) -> (TxnHandle, [RwSet; 2]) {
+    let stages = [initial_rw, final_rw];
+    (protocol.begin(txn, &stages), stages)
+}
+
 struct PendingTxn {
     handle: TxnHandle,
     final_rw: RwSet,
@@ -162,16 +175,17 @@ impl EdgeNode {
         label: Detection,
         inst: crate::bank::TxnInstance,
     ) -> Option<(SectionOutput, PendingTxn)> {
-        let handle = protocol.begin(txn, &[inst.initial_rw.clone(), inst.final_rw.clone()]);
+        let (handle, [initial_rw, final_rw]) =
+            begin_two_stage(protocol, txn, inst.initial_rw, inst.final_rw);
         let mut body = Some(inst.initial);
-        match protocol.run_stage(handle, &inst.initial_rw, &mut |ctx| {
+        match protocol.run_stage(handle, &initial_rw, &mut |ctx| {
             (body.take().expect("initial body runs once"))(ctx.section_mut())
         }) {
             Ok(StageOutcome::Committed { output, next }) => Some((
                 output,
                 PendingTxn {
                     handle: next,
-                    final_rw: inst.final_rw,
+                    final_rw,
                     final_body: inst.final_section,
                     edge_label: label,
                 },
@@ -325,21 +339,17 @@ impl EdgeNode {
             };
             if let Some(inst) = inst {
                 let txn = self.next_txn();
-                let handle = self
-                    .protocol
-                    .begin(txn, &[inst.initial_rw.clone(), inst.final_rw.clone()]);
+                let (handle, [initial_rw, final_rw]) =
+                    begin_two_stage(&*self.protocol, txn, inst.initial_rw, inst.final_rw);
                 let mut body = Some(inst.initial);
-                if let Ok(outcome) = self
-                    .protocol
-                    .run_stage(handle, &inst.initial_rw, &mut |ctx| {
-                        (body.take().expect("initial body runs once"))(ctx.section_mut())
-                    })
-                {
+                if let Ok(outcome) = self.protocol.run_stage(handle, &initial_rw, &mut |ctx| {
+                    (body.take().expect("initial body runs once"))(ctx.section_mut())
+                }) {
                     let input = FinalInput::correct(label.clone());
                     self.finalize_one(
                         PendingTxn {
                             handle: outcome.into_next().expect("two stages were declared"),
-                            final_rw: inst.final_rw,
+                            final_rw,
                             final_body: inst.final_section,
                             edge_label: label,
                         },

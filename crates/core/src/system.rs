@@ -213,6 +213,12 @@ impl CroesusBuilder {
     /// assigned in wave submission order and wait-die conflicts depend
     /// only on ids — while spreading wave execution over `n` threads.
     /// Panics if `n == 0`.
+    ///
+    /// More workers hide the latency of sleep-bound sections; they do not
+    /// speed up CPU-bound ones. On the mall-mssr-fleet benchmark
+    /// configuration (2-core VM) `workers(2)` spent ~49% more CPU per frame
+    /// than `workers(1)` and was ~20% slower in wall time (DESIGN.md
+    /// "Concurrent edge runtime").
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "a deployment needs at least one worker per edge");

@@ -13,10 +13,9 @@
 //!   ([`DetRng`]) so every sampled quantity is a pure function of
 //!   `(seed, stream)`.
 //! * [`dist`] — the distributions used across the workspace (normal,
-//!   exponential, Kumaraswamy, Zipf) implemented from first principles on
-//!   top of [`DetRng`].
+//!   Kumaraswamy) implemented from first principles on top of [`DetRng`].
 //! * [`stats`] — summaries (mean/stddev/percentiles), online accumulation
-//!   and fixed-width histograms for reporting experiment results.
+//!   and precision/recall for reporting experiment results.
 //! * [`fault`] — replayable fault schedules ([`FaultPlan`]) and the
 //!   [`FaultInjector`] that drains them, so chaos runs against the edge
 //!   fleet are as deterministic as the fault-free ones.
@@ -28,9 +27,9 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Distribution, Exponential, Kumaraswamy, Normal, Zipf};
+pub use dist::{Distribution, Kumaraswamy, Normal};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use kernel::{Scheduler, Simulator};
 pub use rng::DetRng;
-pub use stats::{Histogram, OnlineStats, PrecisionRecall, Summary};
+pub use stats::{OnlineStats, PrecisionRecall, Summary};
 pub use time::{SimDuration, SimTime};

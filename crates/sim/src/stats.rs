@@ -1,4 +1,5 @@
-//! Summaries, online accumulators and histograms for experiment reporting.
+//! Summaries, online accumulators and precision/recall for experiment
+//! reporting.
 
 use std::fmt;
 
@@ -195,81 +196,6 @@ impl OnlineStats {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `buckets` equal-width bins over `[lo, hi)`.
-    /// Panics unless `lo < hi` and `buckets > 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            // Floating point can land exactly on the upper edge.
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// `(bucket_low_edge, count)` pairs for reporting.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + i as f64 * width, c))
-    }
-}
-
 /// Compute precision, recall, and F-score from counts of true positives,
 /// false positives and false negatives. Degenerate cases return zeros.
 ///
@@ -421,26 +347,6 @@ mod tests {
         let empty = OnlineStats::new();
         a.merge(&empty);
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-1.0);
-        h.record(0.0);
-        h.record(5.5);
-        h.record(9.999);
-        h.record(10.0);
-        h.record(42.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(5), 1);
-        assert_eq!(h.bucket(9), 1);
-        assert_eq!(h.total(), 6);
-        let edges: Vec<(f64, u64)> = h.iter_edges().collect();
-        assert_eq!(edges.len(), 10);
-        assert_eq!(edges[0], (0.0, 1));
     }
 
     #[test]

@@ -26,14 +26,21 @@
 //! total order makes concurrent batched acquisition deadlock-free under
 //! `Block` (the same ordered-resources argument as sorted per-key
 //! acquisition), holding the granted prefix preserves wait-die's
-//! priority-based progress for the oldest transaction, and a prior-mode
-//! journal makes failed acquisitions side-effect-free — pre-held locks and
-//! modes survive a failed batch untouched. Compared to per-key acquisition
-//! this takes each shard mutex once per *transaction* instead of once per
-//! *key*, and wakes waiters once per shard batch on release.
-//! [`release_all`](LockManager::release_all) is batched the same way.
+//! priority-based progress for the oldest transaction, and recording each
+//! grant's prior mode in the sorted plan makes failed acquisitions
+//! side-effect-free — pre-held locks and modes survive a failed batch
+//! untouched. Compared to per-key acquisition this takes each shard mutex
+//! once per *transaction* instead of once per *key*.
+//! [`release_all`](LockManager::release_all) is batched the same way, and
+//! wakes a shard's waiters only when a waiter is parked there — the condvar
+//! counts its waiters, so an uncontended release (the common case under the
+//! §5.2.4 sequencer) costs no syscall.
+//!
+//! A locked key's holders live inline in the table entry (see `Owners`):
+//! the first holder needs no allocation of its own, and only a second
+//! shared holder spills to a vector.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -102,7 +109,81 @@ impl fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
-type LockTable = HashMap<Key, BTreeMap<TxnId, LockMode>, KeyHashBuilder>;
+/// The holders of one locked key. Almost every key has exactly one holder,
+/// kept inline; further *shared* holders spill to `rest`, which allocates
+/// only when a second holder arrives. Holder order carries no meaning.
+struct Owners {
+    first: (TxnId, LockMode),
+    rest: Vec<(TxnId, LockMode)>,
+}
+
+impl Owners {
+    fn new(txn: TxnId, mode: LockMode) -> Self {
+        Owners {
+            first: (txn, mode),
+            rest: Vec::new(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(TxnId, LockMode)> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+
+    fn get_mut(&mut self, txn: TxnId) -> Option<&mut LockMode> {
+        std::iter::once(&mut self.first)
+            .chain(&mut self.rest)
+            .find(|(o, _)| *o == txn)
+            .map(|(_, m)| m)
+    }
+
+    fn get(&self, txn: TxnId) -> Option<LockMode> {
+        self.iter().find(|(o, _)| *o == txn).map(|&(_, m)| m)
+    }
+
+    /// Set `txn`'s mode, adding it as a holder if absent.
+    fn set(&mut self, txn: TxnId, mode: LockMode) {
+        match self.get_mut(txn) {
+            Some(m) => *m = mode,
+            None => self.rest.push((txn, mode)),
+        }
+    }
+
+    /// Drop `txn` (no-op if absent). Returns `true` when `txn` was the sole
+    /// holder — the caller must then remove the whole entry.
+    fn remove(&mut self, txn: TxnId) -> bool {
+        if self.first.0 == txn {
+            if self.rest.is_empty() {
+                return true;
+            }
+            self.first = self.rest.swap_remove(0);
+        } else if let Some(i) = self.rest.iter().position(|(o, _)| *o == txn) {
+            self.rest.swap_remove(i);
+        }
+        false
+    }
+}
+
+type LockTable = HashMap<Key, Owners, KeyHashBuilder>;
+
+/// One key of an acquisition, with the mode `txn` held on it before this
+/// call granted it (`None` = not held) — what a rollback restores.
+struct PlannedGrant<'a> {
+    shard: usize,
+    key: &'a Key,
+    mode: LockMode,
+    prior: Option<LockMode>,
+}
+
+impl<'a> PlannedGrant<'a> {
+    fn new(shard: usize, key: &'a Key, mode: LockMode) -> Self {
+        PlannedGrant {
+            shard,
+            key,
+            mode,
+            prior: None,
+        }
+    }
+}
 
 #[derive(Default)]
 struct Shard {
@@ -145,12 +226,12 @@ impl LockManager {
     }
 
     /// Whether `txn` can be granted `mode` given current `owners`.
-    fn grantable(owners: &BTreeMap<TxnId, LockMode>, txn: TxnId, mode: LockMode) -> bool {
+    fn grantable(owners: &Owners, txn: TxnId, mode: LockMode) -> bool {
         match mode {
             LockMode::Shared => owners
                 .iter()
-                .all(|(&o, &m)| o == txn || m == LockMode::Shared),
-            LockMode::Exclusive => owners.keys().all(|&o| o == txn),
+                .all(|&(o, m)| o == txn || m == LockMode::Shared),
+            LockMode::Exclusive => owners.iter().all(|&(o, _)| o == txn),
         }
     }
 
@@ -158,18 +239,21 @@ impl LockManager {
     /// Returns the mode `txn` held *before* this grant (`None` = not held),
     /// so a failed multi-key acquisition can restore the exact prior state.
     fn grant(table: &mut LockTable, txn: TxnId, key: &Key, mode: LockMode) -> Option<LockMode> {
-        let owners = table.entry(key.clone()).or_default();
-        match owners.entry(txn) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let prior = *e.get();
+        let Some(owners) = table.get_mut(key) else {
+            table.insert(key.clone(), Owners::new(txn, mode));
+            return None;
+        };
+        match owners.get_mut(txn) {
+            Some(held) => {
+                let prior = *held;
                 // Upgrade persists; downgrade does not overwrite.
                 if mode == LockMode::Exclusive {
-                    *e.get_mut() = LockMode::Exclusive;
+                    *held = LockMode::Exclusive;
                 }
                 Some(prior)
             }
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(mode);
+            None => {
+                owners.rest.push((txn, mode));
                 None
             }
         }
@@ -177,11 +261,8 @@ impl LockManager {
 
     /// Remove `txn` from `key`'s owner set in `table` (no-op if not held).
     fn ungrant(table: &mut LockTable, txn: TxnId, key: &Key) {
-        if let Some(owners) = table.get_mut(key) {
-            owners.remove(&txn);
-            if owners.is_empty() {
-                table.remove(key);
-            }
+        if table.get_mut(key).is_some_and(|owners| owners.remove(txn)) {
+            table.remove(key);
         }
     }
 
@@ -191,15 +272,17 @@ impl LockManager {
     fn restore_grant(table: &mut LockTable, txn: TxnId, key: &Key, prior: Option<LockMode>) {
         match prior {
             None => Self::ungrant(table, txn, key),
-            Some(mode) => {
-                table.entry(key.clone()).or_default().insert(txn, mode);
-            }
+            Some(mode) => match table.get_mut(key) {
+                Some(owners) => owners.set(txn, mode),
+                None => {
+                    table.insert(key.clone(), Owners::new(txn, mode));
+                }
+            },
         }
     }
 
-    /// Acquire every `(key, mode)` pair in `batch` — all of which must live
-    /// in shard `shard_idx`, in ascending key order — under one shard-mutex
-    /// hold per attempt.
+    /// Acquire every entry of `batch` — all in one shard, in ascending key
+    /// order — under one shard-mutex hold per attempt.
     ///
     /// Grants are **incremental in key order** for every policy: each
     /// grantable key is taken (and *held*) immediately and the transaction
@@ -212,60 +295,51 @@ impl LockManager {
     /// priority guarantee: younger contenders die against it instead of
     /// starving the batch.
     ///
-    /// Every grant (with the prior mode it replaced) is appended to
-    /// `journal`; on failure the *caller* restores the journal, so a failed
-    /// acquisition leaves pre-held locks and modes exactly as they were.
-    /// Single-key batches pass `None` — they fail only at the first key,
-    /// with nothing granted.
-    fn acquire_shard_batch<'a>(
+    /// Each grant stores the mode it replaced in its entry's `prior`, and
+    /// `granted` counts the granted prefix; on failure the *caller* undoes
+    /// that prefix, so a failed acquisition leaves pre-held locks and modes
+    /// exactly as they were.
+    fn acquire_shard_batch(
         &self,
         txn: TxnId,
-        shard_idx: usize,
-        batch: &[(&'a Key, LockMode)],
+        batch: &mut [PlannedGrant<'_>],
         timeout: Option<Duration>,
-        mut journal: Option<&mut Vec<(usize, &'a Key, Option<LockMode>)>>,
+        granted: &mut usize,
     ) -> Result<(), LockError> {
-        debug_assert!(batch.len() == 1 || journal.is_some());
-        let shard = &self.shards[shard_idx];
-        let mut next = 0; // first batch entry not yet granted by this call
+        let shard = &self.shards[batch[0].shard];
         let mut table = shard.table.lock();
         loop {
-            while next < batch.len() {
-                let (key, mode) = batch[next];
+            while let Some(entry) = batch.get_mut(*granted) {
                 let grantable = table
-                    .get(key)
-                    .is_none_or(|owners| Self::grantable(owners, txn, mode));
+                    .get(entry.key)
+                    .is_none_or(|owners| Self::grantable(owners, txn, entry.mode));
                 if !grantable {
                     break;
                 }
-                let prior = Self::grant(&mut table, txn, key, mode);
-                if let Some(j) = journal.as_deref_mut() {
-                    j.push((shard_idx, key, prior));
-                }
-                next += 1;
+                entry.prior = Self::grant(&mut table, txn, entry.key, entry.mode);
+                *granted += 1;
             }
-            if next == batch.len() {
+            let Some(blocked) = batch.get(*granted) else {
                 return Ok(());
-            }
-            // Conflict at batch[next]; the granted prefix stays held and the
-            // journal records it — the caller rolls back on error.
+            };
+            // Conflict at `blocked`; the granted prefix stays held — the
+            // caller rolls it back on error.
             match self.policy {
                 LockPolicy::NoWait => return Err(LockError::WouldBlock),
                 LockPolicy::WaitDie => {
                     // Standard wait-die on the blocking key: die if any
                     // conflicting holder is *older* (smaller id); wait only
                     // when every conflicting holder is younger.
-                    let (key, _) = batch[next];
                     let older_holder = table
-                        .get(key)
-                        .is_some_and(|owners| owners.keys().any(|&o| o != txn && o < txn));
+                        .get(blocked.key)
+                        .is_some_and(|owners| owners.iter().any(|&(o, _)| o != txn && o < txn));
                     if older_holder {
                         return Err(LockError::Die);
                     }
                 }
                 LockPolicy::Block => {}
             }
-            // Wait for a release in this shard, then re-check from `next`.
+            // Wait for a release in this shard, then re-check from `blocked`.
             match timeout {
                 Some(t) => {
                     if shard.released.wait_for(&mut table, t).timed_out() {
@@ -288,26 +362,19 @@ impl LockManager {
         }
     }
 
-    /// Restore every journaled grant (reverse order), returning each key to
-    /// its exact pre-call state. One mutex hold + one wakeup per shard
-    /// touched; journal entries are shard-contiguous by construction.
-    fn rollback_journal(&self, txn: TxnId, journal: &[(usize, &Key, Option<LockMode>)]) {
-        let mut end = journal.len();
-        while end > 0 {
-            let shard_idx = journal[end - 1].0;
-            let start = journal[..end]
-                .iter()
-                .rposition(|e| e.0 != shard_idx)
-                .map_or(0, |p| p + 1);
-            let shard = &self.shards[shard_idx];
+    /// Undo `granted` (reverse order), returning each key to its exact
+    /// pre-call state. One mutex hold + at most one wakeup per shard
+    /// touched; the entries are shard-contiguous by construction.
+    fn rollback(&self, txn: TxnId, granted: &[PlannedGrant<'_>]) {
+        for run in granted.chunk_by(|a, b| a.shard == b.shard).rev() {
+            let shard = &self.shards[run[0].shard];
             let mut table = shard.table.lock();
-            for &(_, key, prior) in journal[start..end].iter().rev() {
-                Self::restore_grant(&mut table, txn, key, prior);
+            for entry in run.iter().rev() {
+                Self::restore_grant(&mut table, txn, entry.key, entry.prior);
             }
             drop(table);
             shard.released.notify_all();
             crate::sched::progress("store.lock.rollback");
-            end = start;
         }
     }
 
@@ -324,7 +391,9 @@ impl LockManager {
         mode: LockMode,
         timeout: Option<Duration>,
     ) -> Result<(), LockError> {
-        self.acquire_shard_batch(txn, self.shard_index(key), &[(key, mode)], timeout, None)
+        // A single key fails only at that key, with nothing granted.
+        let mut one = [PlannedGrant::new(self.shard_index(key), key, mode)];
+        self.acquire_shard_batch(txn, &mut one, timeout, &mut 0)
     }
 
     /// Convenience: acquire with the policy's default (no timeout).
@@ -353,31 +422,29 @@ impl LockManager {
             _ => {}
         }
         // Shard-major, then key order: the global acquisition order that
-        // underpins deadlock freedom under Block.
-        let mut sorted: Vec<(usize, &Key, LockMode)> = keys
+        // underpins deadlock freedom under Block. The plan doubles as the
+        // rollback journal: its granted prefix records each prior mode.
+        let mut plan: Vec<PlannedGrant<'_>> = keys
             .iter()
-            .map(|(k, m)| (self.shard_index(k), k, *m))
+            .map(|(k, m)| PlannedGrant::new(self.shard_index(k), k, *m))
             .collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+        plan.sort_unstable_by(|a, b| a.shard.cmp(&b.shard).then_with(|| a.key.cmp(b.key)));
 
-        let mut journal: Vec<(usize, &Key, Option<LockMode>)> = Vec::with_capacity(sorted.len());
-        let mut batch: Vec<(&Key, LockMode)> = Vec::with_capacity(sorted.len());
-        let mut start = 0;
-        while start < sorted.len() {
-            let shard_idx = sorted[start].0;
-            let end = sorted[start..]
+        let mut done = 0;
+        while done < plan.len() {
+            let shard = plan[done].shard;
+            let end = plan[done..]
                 .iter()
-                .position(|e| e.0 != shard_idx)
-                .map_or(sorted.len(), |p| start + p);
-            batch.clear();
-            batch.extend(sorted[start..end].iter().map(|&(_, k, m)| (k, m)));
+                .position(|e| e.shard != shard)
+                .map_or(plan.len(), |p| done + p);
+            let mut granted = 0;
             if let Err(e) =
-                self.acquire_shard_batch(txn, shard_idx, &batch, timeout, Some(&mut journal))
+                self.acquire_shard_batch(txn, &mut plan[done..end], timeout, &mut granted)
             {
-                self.rollback_journal(txn, &journal);
+                self.rollback(txn, &plan[..done + granted]);
                 return Err(e);
             }
-            start = end;
+            done = end;
         }
         Ok(())
     }
@@ -392,8 +459,9 @@ impl LockManager {
         crate::sched::progress("store.lock.release");
     }
 
-    /// Release a set of keys, batched by shard: one mutex hold and one
-    /// condvar wakeup per shard touched, instead of one per key.
+    /// Release a set of keys, batched by shard: one mutex hold and at most
+    /// one condvar wakeup per shard touched, instead of one per key. The
+    /// wakeup is skipped when no waiter is parked on the shard.
     pub fn release_all<'a>(&self, txn: TxnId, keys: impl IntoIterator<Item = &'a Key>) {
         let mut items: Vec<(usize, &Key)> =
             keys.into_iter().map(|k| (self.shard_index(k), k)).collect();
@@ -423,8 +491,7 @@ impl LockManager {
             .table
             .lock()
             .get(key)?
-            .get(&txn)
-            .copied()
+            .get(txn)
     }
 
     /// Number of keys with at least one holder (diagnostics).

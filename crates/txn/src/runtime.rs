@@ -25,6 +25,9 @@
 //! * **Panic transparency**: a panicking job is caught on the worker,
 //!   carried back, and re-thrown on the submitting thread — lowest
 //!   submission index first, so even failure order is deterministic.
+//! * **Latency hiding only**: a wave's hand-off costs more than the few
+//!   µs of CPU work in a pipeline stage, so more than one worker pays off
+//!   only when sections sleep or block (see [`WorkerPool`]).
 
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -182,6 +185,12 @@ pub fn current_worker() -> Option<usize> {
 /// See the module docs for the contract; the short version: results come
 /// back in submission order, `workers == 1` runs inline on the caller, and
 /// the bounded queue is the admission-control surface.
+///
+/// The pool hides the latency of sleep-bound sections; it does not speed
+/// up CPU-bound ones. On the mall-mssr-fleet benchmark configuration
+/// (2-core VM) `workers(2)` spent ~49% more CPU per frame than
+/// `workers(1)` and was ~20% slower in wall time — see DESIGN.md
+/// "Concurrent edge runtime".
 pub struct WorkerPool {
     queue: Option<Arc<JobQueue>>,
     handles: Vec<JoinHandle<()>>,
